@@ -490,9 +490,8 @@ register_corpus(
 )
 
 #: Wide-datapath family: every design carries operands past the 64-bit packed
-#: ceiling, so the whole corpus exercises the multi-limb (and, for narrow
-#: control planes, bit-sliced) lowering strategies.  Zero scalar fallbacks
-#: across this corpus is a CI-gated invariant.
+#: ceiling, so the whole corpus exercises the multi-limb lowering strategy.
+#: Zero scalar fallbacks across this corpus is a CI-gated invariant.
 WIDE_SPECS: List[CorpusSpec] = [
     _spec("wide_counter100", "wide-arithmetic", "100-bit strided up counter", partial(wide.wide_counter, 100, 1)),
     _spec("wide_counter128", "wide-arithmetic", "128-bit strided up counter", partial(wide.wide_counter, 128, 2)),

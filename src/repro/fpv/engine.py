@@ -317,9 +317,9 @@ class FormalEngine:
 
         ``None`` on scalar backends.  On the vectorized backend returns
         ``{"design", "plan", "reason"}`` where ``plan`` is the representation
-        the planner picked (``soa``/``bitsliced``/``multilimb``) or
-        ``fallback`` when every strategy refused, with ``reason`` carrying
-        the per-strategy refusal messages.
+        the planner picked (``soa`` or ``multilimb``) or ``fallback`` when
+        both refused, with ``reason`` carrying the per-strategy refusal
+        messages.
         """
         plan = self._system.lowering_plan()
         if plan is None:
@@ -515,7 +515,7 @@ class FormalEngine:
             kernel = self._system.vector_kernel()
             if (
                 kernel is not None
-                and getattr(kernel, "packable", True)
+                and kernel.packable
                 and reachability.complete
             ):
                 from .table import TransitionTable

@@ -557,7 +557,7 @@ def _check_family_fast(
     enumerable = (
         system.can_enumerate_inputs
         and system.state_bits <= config.max_state_bits
-        and getattr(lowering.kernel, "packable", True)
+        and lowering.kernel.packable
     )
     golden_reach = golden_engine._reachable() if enumerable else None
 

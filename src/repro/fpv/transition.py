@@ -122,20 +122,17 @@ class TransitionSystem:
         """The NumPy :class:`~repro.sim.vector.VectorKernel`, or ``None``.
 
         Only systems built with the ``vectorized`` backend lower a kernel;
-        models every lowering strategy rejects (or a missing NumPy) quietly
-        fall back to the scalar path.  :meth:`lowering_plan` reports which
-        representation the planner picked and why fallbacks happened.
+        models every lowering strategy rejects quietly fall back to the
+        scalar path.  :meth:`lowering_plan` reports which representation the
+        planner picked and why fallbacks happened.
         """
         if not self._kernel_built:
             self._kernel_built = True
             if self._backend == VECTORIZED:
-                try:
-                    from ..sim.vector import plan_model
-                except ImportError:  # pragma: no cover - numpy not installed
-                    plan_model = None
-                if plan_model is not None:
-                    self._plan = plan_model(self._model)
-                    self._kernel = self._plan.kernel
+                from ..sim.vector import plan_model
+
+                self._plan = plan_model(self._model)
+                self._kernel = self._plan.kernel
         return self._kernel
 
     def lowering_plan(self):
@@ -349,7 +346,7 @@ def enumerate_reachable(
         )
 
     kernel = system.vector_kernel()
-    if kernel is not None and getattr(kernel, "packable", True):
+    if kernel is not None and kernel.packable:
         return _enumerate_reachable_vectorized(
             system, kernel, max_states, max_transitions
         )

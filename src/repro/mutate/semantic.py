@@ -155,13 +155,9 @@ class SemanticContext:
         results: List[Optional[DifferenceWitness]] = [None] * len(mutants)
         if not mutants:
             return results
-        try:
-            from ..sim.vector import lower_family
-        except ImportError:  # pragma: no cover - numpy not installed
-            lower_family = None
-        lowering = None
-        if lower_family is not None:
-            lowering = lower_family(self.golden.model, [mutant.model for mutant in mutants])
+        from ..sim.vector import lower_family
+
+        lowering = lower_family(self.golden.model, [mutant.model for mutant in mutants])
         handled: set = set()
         if lowering is not None:
             accepted = lowering.accepted()
@@ -211,9 +207,7 @@ class SemanticContext:
             still_active = []
             for row, (position, member) in enumerate(active):
                 lo = (row + 1) * lanes_per
-                diff_any = np.zeros(lanes_per, dtype=bool)
-                for signal in signals:
-                    diff_any |= env[signal][lo : lo + lanes_per] != env[signal][:lanes_per]
+                diff_any = kernel.lanes_differ(env, signals, lo, lanes_per)
                 diff_any |= nxt[lo : lo + lanes_per] != golden_next
                 if not diff_any.any():
                     still_active.append((position, member))
@@ -222,9 +216,11 @@ class SemanticContext:
                 state_values = system.state_dict(states[start + lane // num_inputs])
                 inputs = dict(input_dicts[lane % num_inputs])
                 witness = None
+                golden_row = kernel.env_row(env, lane, signals)
+                mutant_row = kernel.env_row(env, lo + lane, signals)
                 for signal in signals:
-                    golden_value = int(env[signal][lane])
-                    mutant_value = int(env[signal][lo + lane])
+                    golden_value = golden_row[signal]
+                    mutant_value = mutant_row[signal]
                     if golden_value != mutant_value:
                         witness = DifferenceWitness(
                             signal=signal,

@@ -181,7 +181,10 @@ class ExprEvaluator:
             # deterministic masked value so both backends agree bit-for-bit.
             return _mask(left % right, width) if right else _mask(left, width)
         if op == "**":
-            return _mask(left**right, width)
+            # Modular exponentiation: the same masked value as full-precision
+            # ``left**right``, without building it (a wide exponent never
+            # finishes).
+            return pow(left, right, 1 << width)
         if op == "&":
             return left & right
         if op == "|":

@@ -884,8 +884,6 @@ class LimbStmtCompiler(VectorStmtCompiler):
 class MultiLimbKernel(VectorKernel):
     """Vector kernel holding every signal as (limbs, lanes) int64 columns."""
 
-    plan_name = "multilimb"
-
     def _check_widths(self, model: RtlModel) -> None:
         pass  # limbs hold any width
 
@@ -979,6 +977,16 @@ class MultiLimbKernel(VectorKernel):
         if arr.shape[0] == 1:
             return arr[0].tolist()
         return _to_object(arr).tolist()
+
+    def lanes_differ(
+        self, env: Cols, names: Sequence[str], lo: int, count: int
+    ) -> np.ndarray:
+        diff = np.zeros(count, dtype=bool)
+        for name in names:
+            column = env[name]
+            differs = column[..., lo : lo + count] != column[..., :count]
+            diff |= np.atleast_2d(differs).any(axis=0)
+        return diff
 
     def _pack_next(self, next_cols: Cols, lanes: int) -> np.ndarray:
         # Only reachable when `packable`, i.e. every state register fits one

@@ -18,19 +18,16 @@ Semantics are bit-for-bit identical to the interpreted and compiled scalar
 backends for every design the lowering accepts.  The plain structure-of-
 arrays kernel refuses anything it cannot prove safe inside 63-bit signed
 integer arithmetic (very wide signals, multiplies past 31 bits, ``**``);
-:func:`plan_model` then tries the alternative representations — the
-bit-sliced kernel of :mod:`repro.sim.bitslice` for control-dominated
-boolean logic and the multi-limb kernel of :mod:`repro.sim.limb` for wide
-datapaths — before giving up.  Only when every lowering strategy raises
-:class:`UnsupportedForVectorization` does a design fall back to the
-compiled backend, and the plan records the reason so the fallback is
-observable instead of silent.  The scalar backends remain the reference
-oracles throughout.
+:func:`plan_model` then tries the multi-limb kernel of
+:mod:`repro.sim.limb`, which holds any width as stacks of 32-bit limb
+columns.  Only when both raise :class:`UnsupportedForVectorization` does a
+design fall back to the compiled backend, and the plan records the reasons
+so the fallback is observable instead of silent.  The scalar backends
+remain the reference oracles throughout.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
@@ -394,8 +391,8 @@ def _and_mask(mask: Mask, cond: Union[np.ndarray, bool]) -> Union[np.ndarray, bo
 def _mask_and(a, b):
     """AND two lane masks where either side may be a scalar Python bool.
 
-    Scalar bools never mix bitwise with word-packed masks (``True & words``
-    would pick only bit 0), so they are short-circuited symbolically.
+    Scalar bools are short-circuited symbolically, so a constant condition
+    never allocates a lane array.
     """
     if a is True:
         return b
@@ -467,10 +464,10 @@ class VectorStmtCompiler:
     """Compile procedural statement bodies to masked array kernels.
 
     The control-flow machinery is representation-agnostic: every place a
-    value must become a lane mask (conditions, case-label matches, mask
-    inversion) routes through an overridable hook, so the multi-limb and
-    bit-plane compilers reuse the whole If/Case/Block scaffolding by
-    overriding only the hooks and the store kernels.
+    value must become a lane mask (conditions, case-label matches) routes
+    through an overridable hook, so the multi-limb compiler reuses the whole
+    If/Case/Block scaffolding by overriding only the hooks and the store
+    kernels.  Masks themselves are always plain boolean lane arrays.
     """
 
     def __init__(self, model: RtlModel, exprs: VectorExprCompiler):
@@ -487,14 +484,6 @@ class VectorStmtCompiler:
     def _eq_mask(self, label_value, subject_value, env: Cols):
         """Lane mask where a case label equals the case subject."""
         return np.equal(label_value, subject_value)
-
-    def _invert_mask(self, cond, env: Cols):
-        """Complement of a lane mask within the valid lanes."""
-        return _invert(cond)
-
-    def _materialize_mask(self, mask, env: Cols, lanes: int) -> Mask:
-        """Normalise a scalar-bool mask to the representation's mask type."""
-        return _materialize(mask, lanes)
 
     def _lift(self, value, lanes: int):
         """Broadcast a kernel result to a full per-lane value column."""
@@ -535,18 +524,16 @@ class VectorStmtCompiler:
                 self.compile_stmt(stmt.else_body) if stmt.else_body is not None else None
             )
             cond_mask = self._cond_mask
-            invert_mask = self._invert_mask
-            materialize = self._materialize_mask
 
             def if_stmt(env: Cols, nb: _NbSink, mask: Mask, lanes: int) -> None:
                 taken = cond_mask(cond(env), env)
                 then_mask = _and_mask(mask, taken)
                 if _mask_any(then_mask):
-                    then(env, nb, materialize(then_mask, env, lanes), lanes)
+                    then(env, nb, _materialize(then_mask, lanes), lanes)
                 if otherwise is not None:
-                    else_mask = _and_mask(mask, invert_mask(taken, env))
+                    else_mask = _and_mask(mask, _invert(taken))
                     if _mask_any(else_mask):
-                        otherwise(env, nb, materialize(else_mask, env, lanes), lanes)
+                        otherwise(env, nb, _materialize(else_mask, lanes), lanes)
 
             return if_stmt
         if isinstance(stmt, ast.Case):
@@ -560,8 +547,6 @@ class VectorStmtCompiler:
             )
             default = self.compile_stmt(stmt.default) if stmt.default is not None else None
             eq_mask = self._eq_mask
-            invert_mask = self._invert_mask
-            materialize = self._materialize_mask
 
             def case(env: Cols, nb: _NbSink, mask: Mask, lanes: int) -> None:
                 value = subject(env)
@@ -572,12 +557,12 @@ class VectorStmtCompiler:
                         hit = _mask_or(hit, eq_mask(label(env), value, env))
                     arm_mask = _and_mask(mask, _mask_and(unmatched, hit))
                     if _mask_any(arm_mask):
-                        body(env, nb, materialize(arm_mask, env, lanes), lanes)
-                    unmatched = _mask_and(unmatched, invert_mask(hit, env))
+                        body(env, nb, _materialize(arm_mask, lanes), lanes)
+                    unmatched = _mask_and(unmatched, _invert(hit))
                 if default is not None:
                     default_mask = _and_mask(mask, unmatched)
                     if _mask_any(default_mask):
-                        default(env, nb, materialize(default_mask, env, lanes), lanes)
+                        default(env, nb, _materialize(default_mask, lanes), lanes)
 
             return case
         raise UnsupportedForVectorization(f"unsupported statement {stmt!r}")
@@ -768,9 +753,6 @@ class VectorKernel:
     """
 
     backend = "vectorized"
-    #: Which lowering representation this kernel implements; the planner and
-    #: the stats plumbing report it per design.
-    plan_name = "soa"
 
     def __init__(self, model: RtlModel):
         self._model = model
@@ -867,12 +849,6 @@ class VectorKernel:
 
     # -- representation hooks -------------------------------------------------
 
-    def env_lanes(self, cols: Cols) -> int:
-        """Number of lanes in a columnar environment."""
-        if not cols:
-            return 0
-        return int(next(iter(cols.values())).shape[-1])
-
     def lift_state(self, name: str, column) -> np.ndarray:
         """Convert an external state column (ints) to representation form."""
         return np.asarray(column, dtype=np.int64)
@@ -890,11 +866,16 @@ class VectorKernel:
         """One signal column as a list of Python ints (arbitrary precision)."""
         return env[name].tolist()
 
-    def _make_nb_sink(self, env: Cols) -> "_NbSink":
-        return _NbSink(env)
-
-    def _make_alias_sink(self, cols: Cols) -> "_NbSink":
-        return _EnvAliasSink(cols)
+    def lanes_differ(
+        self, env: Cols, names: Sequence[str], lo: int, count: int
+    ) -> np.ndarray:
+        """Per lane ``i < count``: whether any named signal differs between
+        lane ``i`` and lane ``lo + i``."""
+        diff = np.zeros(count, dtype=bool)
+        for name in names:
+            column = env[name]
+            diff |= column[lo : lo + count] != column[:count]
+        return diff
 
     def _pack_next(self, next_cols: Cols, lanes: int) -> np.ndarray:
         """Pack next-state columns into int64 lanes (requires ``packable``)."""
@@ -910,7 +891,7 @@ class VectorKernel:
         them — per-lane convergence tracking is unnecessary.
         """
         targets = self._settle_targets
-        lanes = self.env_lanes(cols)
+        lanes = int(next(iter(cols.values())).shape[-1]) if cols else 0
         for _ in range(max_iterations):
             before = [cols[name] for name in targets]
             self._comb_pass(cols, lanes)
@@ -926,7 +907,7 @@ class VectorKernel:
         for value, store in self._assigns:
             store(lift(value(cols), lanes), cols, None, None, lanes)
         if self._comb:
-            sink = self._make_alias_sink(cols)
+            sink = _EnvAliasSink(cols)
             for process in self._comb:
                 process(cols, sink, None, lanes)
 
@@ -940,7 +921,7 @@ class VectorKernel:
         per-lane written masks, and unwritten lanes keep their old register
         values.
         """
-        nb = self._make_nb_sink(env)
+        nb = _NbSink(env)
         for body, targets in self._seq:
             shadow = dict(env)
             nb.env = shadow
@@ -1020,9 +1001,8 @@ class _EnvAliasSink(_NbSink):
 # The lowering planner
 # ---------------------------------------------------------------------------
 
-#: Plan identifiers (also the values accepted by ``REPRO_VECTOR_PLAN``).
+#: Plan identifiers, as reported by :class:`LoweringPlan` and the census.
 PLAN_SOA = "soa"
-PLAN_BITSLICED = "bitsliced"
 PLAN_MULTILIMB = "multilimb"
 PLAN_FALLBACK = "fallback"
 
@@ -1044,57 +1024,20 @@ class LoweringPlan:
     attempts: Dict[str, str] = field(default_factory=dict)
 
 
-def _build_soa(model: RtlModel) -> VectorKernel:
-    return VectorKernel(model)
+def plan_model(model: RtlModel) -> LoweringPlan:
+    """Choose and build the vector lowering for one design.
 
-
-def _build_bitsliced(model: RtlModel) -> VectorKernel:
-    from .bitslice import BitSlicedKernel
-
-    return BitSlicedKernel(model)
-
-
-def _build_multilimb(model: RtlModel) -> VectorKernel:
+    The plain SoA-int64 kernel when its value-bits analysis accepts the
+    model, otherwise the multi-limb kernel (wide signals, wide
+    intermediates, ``**``), otherwise no kernel: the caller falls back to
+    the compiled scalar backend and the plan carries every refusal reason.
+    """
     from .limb import MultiLimbKernel
 
-    return MultiLimbKernel(model)
-
-
-_PLAN_BUILDERS: Dict[str, Callable[[RtlModel], VectorKernel]] = {
-    PLAN_SOA: _build_soa,
-    PLAN_BITSLICED: _build_bitsliced,
-    PLAN_MULTILIMB: _build_multilimb,
-}
-
-
-def plan_model(model: RtlModel) -> LoweringPlan:
-    """Choose and build the best vector lowering for one design.
-
-    Strategy order: the bit-sliced kernel when the design's signal-width
-    histogram and state-space size predict a win (see
-    :func:`repro.sim.bitslice.bitslice_profitable`), then the plain SoA-int64
-    kernel, then the multi-limb kernel for designs SoA refuses (wide signals,
-    wide intermediates, ``**``).  ``REPRO_VECTOR_PLAN`` forces a single named
-    strategy (mainly for equivalence tests).
-    """
-    forced = os.environ.get("REPRO_VECTOR_PLAN")
-    if forced:
-        if forced == PLAN_FALLBACK:
-            return LoweringPlan(plan=PLAN_FALLBACK, kernel=None, reason="forced by env")
-        if forced not in _PLAN_BUILDERS:
-            raise ValueError(f"unknown REPRO_VECTOR_PLAN {forced!r}")
-        order = [forced]
-    else:
-        from .bitslice import bitslice_profitable
-
-        order = []
-        if bitslice_profitable(model):
-            order.append(PLAN_BITSLICED)
-        order.extend((PLAN_SOA, PLAN_MULTILIMB))
     attempts: Dict[str, str] = {}
-    for plan in order:
+    for plan, build in ((PLAN_SOA, VectorKernel), (PLAN_MULTILIMB, MultiLimbKernel)):
         try:
-            kernel = _PLAN_BUILDERS[plan](model)
+            kernel = build(model)
         except (UnsupportedForVectorization, EvalError) as exc:
             attempts[plan] = str(exc)
             continue
@@ -1499,14 +1442,6 @@ class FamilyLowering:
         return [i for i, member in enumerate(self.member_ids) if member is not None]
 
 
-def _build_multilimb_family(
-    model: RtlModel, patches: Dict[int, Dict[int, ast.Expr]], rejected: Dict[int, str]
-):
-    from .limb import MultiLimbFamilyKernel
-
-    return MultiLimbFamilyKernel(model, patches, rejected)
-
-
 def lower_family(
     golden: RtlModel, mutants: Sequence[RtlModel]
 ) -> Optional[FamilyLowering]:
@@ -1521,6 +1456,8 @@ def lower_family(
     golden model.  Individual mutants that cannot share the skeleton are
     rejected, not fatal.
     """
+    from .limb import MultiLimbFamilyKernel
+
     patches: Dict[int, Dict[int, ast.Expr]] = {}
     base_rejected: Dict[int, str] = {}
     id_counts = _model_expr_id_counts(golden)
@@ -1536,7 +1473,7 @@ def lower_family(
             continue
         for slot, variant in diffs:
             patches.setdefault(id(slot), {})[member] = variant
-    builders = ((PLAN_SOA, FamilyKernel), (PLAN_MULTILIMB, _build_multilimb_family))
+    builders = ((PLAN_SOA, FamilyKernel), (PLAN_MULTILIMB, MultiLimbFamilyKernel))
     for plan, builder in builders:
         rejected = dict(base_rejected)
         try:

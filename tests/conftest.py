@@ -7,9 +7,16 @@ the whole suite builds them once.
 from __future__ import annotations
 
 import pytest
+from hypothesis import settings
 
 from repro.bench import AssertionBenchCorpus, DesignKnowledgeBase, build_icl_examples
 from repro.hdl import Design
+
+# Tier-1 must give the same result on every run: Hypothesis draws its
+# examples from a fixed seed, replays no saved failures from a local example
+# database, and never fails an example for running slowly on a loaded host.
+settings.register_profile("deterministic", derandomize=True, database=None, deadline=None)
+settings.load_profile("deterministic")
 
 ARB2_SOURCE = """
 module arb2(clk, rst, req1, req2, gnt1, gnt2);

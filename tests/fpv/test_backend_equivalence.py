@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from repro.fpv import EngineConfig, FormalEngine, TransitionSystem, enumerate_reachable
 from repro.hdl import Design
 from repro.sim import BACKENDS
+from repro.sim.vector import PLAN_SOA, plan_model
 
 _EDGE_SOURCE = """
 module edgewidths(clk, rst, a, sh, q33, ymod, ydiv, yshl, yshr, ysra, ybit);
@@ -149,6 +150,31 @@ class TestCorpusVerdictEquivalence:
                 if per_backend[backend] != per_backend["interpreted"]:
                     disagreements.append((design.name, backend))
         assert not disagreements, disagreements
+
+    @pytest.mark.parametrize("name", ["full_adder", "handshake_ctrl"])
+    def test_narrow_control_designs_plan_soa(self, corpus, name):
+        """All-narrow control designs take the SoA kernel and keep every
+        verdict and counterexample waveform of the compiled backend."""
+        design = corpus.design(name)
+        assert plan_model(design.model).plan == PLAN_SOA
+        model = design.model
+        texts = []
+        for out in model.outputs:
+            texts.append(f"({out} == 0);")
+            for inp in model.non_clock_inputs:
+                texts.append(f"({inp} == 1) |-> ({out} == 0);")
+                texts.append(f"({inp} == 1) ##1 ({inp} == 1) |=> ({out} == 0);")
+        per_backend = {
+            backend: [
+                _verdict_key(r)
+                for r in FormalEngine(
+                    design, EngineConfig(backend=backend, **_CORPUS_ENGINE_KWARGS)
+                ).check_batch(texts)
+            ]
+            for backend in ("compiled", "vectorized")
+        }
+        assert per_backend["vectorized"] == per_backend["compiled"]
+        assert any(key[-1] is not None for key in per_backend["compiled"])
 
     @pytest.mark.parametrize(
         "name",

@@ -17,7 +17,13 @@ import pytest
 from repro.bench.corpus import get_corpus
 from repro.fpv import EngineConfig, FormalEngine, TransitionSystem, enumerate_reachable
 from repro.hdl import Design
-from repro.sim.vector import PLAN_FALLBACK, PLAN_MULTILIMB, plan_model
+from repro.sim import limb
+from repro.sim.vector import (
+    PLAN_FALLBACK,
+    PLAN_MULTILIMB,
+    UnsupportedForVectorization,
+    plan_model,
+)
 
 _ENGINE_KWARGS = dict(
     max_states=1024,
@@ -99,11 +105,16 @@ class TestWideCorpusVerdicts:
         }
 
     def test_forced_fallback_still_agrees_and_is_reported(self, wide_corpus, monkeypatch):
-        """With the planner pinned to SoA the wide design cannot lower; the
-
-        engine must fall back to the scalar path, report the per-strategy
-        refusal, and still return the compiled verdicts bit-for-bit.
+        """With the multi-limb kernel refusing too, the wide design cannot
+        lower; the engine must fall back to the scalar path, report both
+        per-strategy refusals, and still return the compiled verdicts
+        bit-for-bit.
         """
+
+        class RefusingMultiLimbKernel:
+            def __init__(self, model):
+                raise UnsupportedForVectorization("refused by test")
+
         design = wide_corpus.design("wide_accum96")
         batch = _assertions(design)
         compiled = [
@@ -112,14 +123,15 @@ class TestWideCorpusVerdicts:
                 design, EngineConfig(backend="compiled", **_ENGINE_KWARGS)
             ).check_batch(batch)
         ]
-        monkeypatch.setenv("REPRO_VECTOR_PLAN", "soa")
+        monkeypatch.setattr(limb, "MultiLimbKernel", RefusingMultiLimbKernel)
         engine = FormalEngine(design, EngineConfig(backend="vectorized", **_ENGINE_KWARGS))
         vectorized = [_verdict_key(r) for r in engine.check_batch(batch)]
         assert vectorized == compiled
         info = engine.lowering_info()
         assert info is not None
         assert info["plan"] == PLAN_FALLBACK
-        assert "soa" in info["reason"]
+        assert "soa: " in info["reason"]
+        assert "multilimb: refused by test" in info["reason"]
 
     def test_scalar_backend_reports_no_lowering(self, wide_corpus):
         design = wide_corpus.design("wide_cmp100")

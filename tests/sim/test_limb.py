@@ -18,7 +18,8 @@ from hypothesis import strategies as st
 from repro.bench.corpus import get_corpus
 from repro.hdl import Design, ast
 from repro.mutate.operators import enumerate_mutants
-from repro.sim import EvalError, ExprEvaluator, RandomStimulus, Simulator
+from repro.mutate.semantic import SemanticContext
+from repro.sim import DirectedStimulus, EvalError, ExprEvaluator, RandomStimulus, Simulator
 from repro.sim.limb import (
     LimbExprCompiler,
     MultiLimbKernel,
@@ -30,6 +31,7 @@ from repro.sim.vector import (
     GOLDEN_MEMBER,
     PLAN_MULTILIMB,
     UnsupportedForVectorization,
+    VectorKernel,
     lower_family,
     plan_model,
     simulate_batch,
@@ -277,6 +279,103 @@ class TestLimbSimulation:
             assert row["maxv"] == max(values[lane], values[3 - lane])
 
 
+_NARROW_FSM_SOURCE = """\
+module narrowfsm(clk, rst, a, b, state, flag, ones, y0, y1, y2, y3);
+  input clk, rst, a, b;
+  output reg [1:0] state;
+  output reg flag;
+  output [1:0] ones;
+  output y0, y1, y2, y3;
+  reg p0, p1, p2, p3;
+  always @(posedge clk or posedge rst) begin
+    if (rst) begin
+      state <= 2'd0;
+      flag <= 1'b0;
+      p0 <= 1'b0;
+      p1 <= 1'b0;
+      p2 <= 1'b1;
+      p3 <= 1'b0;
+    end else begin
+      case (state)
+        2'd0: state <= a ? 2'd1 : 2'd0;
+        2'd1: state <= b ? 2'd2 : 2'd1;
+        2'd2: state <= (a & b) ? 2'd3 : 2'd0;
+        default: state <= 2'd0;
+      endcase
+      flag <= (state == 2'd3) | (a ^ b);
+      p0 <= a ^ p1;
+      p1 <= b & p2;
+      p2 <= p3 | a;
+      p3 <= ~p0;
+    end
+  end
+  assign ones = {1'b0, a} + {1'b0, b};
+  assign y0 = p0 ^ p2;
+  assign y1 = p1 & flag;
+  assign y2 = state < 2'd2;
+  assign y3 = state[1];
+endmodule
+"""
+
+
+class TestLimbOnNarrowModel:
+    """The limb kernel is not limited to wide designs: on an all-narrow FSM
+    (one limb per signal) it must match the compiled traces and the SoA
+    kernel's packed step image."""
+
+    def test_batch_matches_compiled_traces(self):
+        design = Design.from_source(_NARROW_FSM_SOURCE)
+        kernel = MultiLimbKernel(design.model)
+        stimuli = [RandomStimulus(seed=seed) for seed in range(2)]
+        batched = simulate_batch(design.model, stimuli, 30, kernel=kernel)
+        for seed, trace in enumerate(batched):
+            scalar = Simulator(design, backend="compiled").run(
+                cycles=30, stimulus=RandomStimulus(seed=seed)
+            )
+            for signal in trace.signals:
+                assert trace.column(signal) == scalar.column(signal), (seed, signal)
+
+    @pytest.mark.parametrize("lanes", [1, 63, 64, 65, 130])
+    def test_step_packed_bit_identical_to_soa(self, lanes):
+        design = Design.from_source(_NARROW_FSM_SOURCE)
+        limbs = MultiLimbKernel(design.model)
+        soa = VectorKernel(design.model)
+        rng = np.random.default_rng(lanes)
+        states = rng.integers(0, 1 << sum(soa.state_widths), size=lanes, dtype=np.int64)
+        inputs = rng.integers(0, 1 << sum(soa.input_widths), size=lanes, dtype=np.int64)
+        env_l, next_l = limbs.step_packed(states, inputs)
+        env_s, next_s = soa.step_packed(states, inputs)
+        assert np.array_equal(next_l, next_s)
+        for lane in range(lanes):
+            assert limbs.env_row(env_l, lane) == soa.env_row(env_s, lane)
+
+
+_WIDE_POW_SOURCE = """\
+module widepow(a, b, y);
+  input [47:0] a, b;
+  output [7:0] y;
+  assign y = a ** b;
+endmodule
+"""
+
+
+class TestWideExponent:
+    def test_wide_exponent_settles_on_every_backend(self):
+        # A 41-bit exponent at full precision would never finish; every
+        # backend must reduce modulo 2**width as it goes.
+        design = Design.from_source(_WIDE_POW_SOURCE)
+        vectors = [{"a": 3, "b": (1 << 40) + 7}]
+        for backend in ("interpreted", "compiled"):
+            trace = Simulator(design, backend=backend).run(
+                cycles=1, stimulus=DirectedStimulus(vectors)
+            )
+            assert trace.column("y") == [139], backend
+        plan = plan_model(design.model)
+        assert plan.plan == PLAN_MULTILIMB
+        (trace,) = simulate_batch(design.model, [DirectedStimulus(vectors)], 1, kernel=plan.kernel)
+        assert trace.column("y") == [139]
+
+
 class TestLimbFamily:
     def test_wide_family_simulate_matches_scalar(self):
         design = get_corpus("assertionbench-wide").design("wide_accum96")
@@ -299,3 +398,19 @@ class TestLimbFamily:
                 )
                 for cycle in range(20):
                     assert traces[row][seed].row(cycle) == reference.row(cycle)
+
+    def test_batched_sweep_witnesses_equal_per_mutant(self):
+        # decoder64 lowers its mutant family to limb columns, which the
+        # batched semantic sweep must read through the kernel, not as
+        # 1-D SoA lanes.
+        design = get_corpus("assertionbench").design("decoder64")
+        mutants, stats = enumerate_mutants(design, limit=16)
+        assert len(mutants) == stats.viable == 16
+        candidates = [mutant.design for mutant in mutants]
+        lowering = lower_family(design.model, [c.model for c in candidates])
+        assert lowering.plan == PLAN_MULTILIMB
+        assert len(lowering.accepted()) == 16
+        context = SemanticContext(design)
+        batched = context.differences(candidates)
+        assert batched == [context.difference(c) for c in candidates]
+        assert batched == [mutant.witness for mutant in mutants]

@@ -174,8 +174,8 @@ class TestPacking:
 
 class TestLowering:
     def test_every_corpus_design_lowers(self, corpus):
-        # Since the multi-limb and bit-sliced strategies landed, no corpus
-        # design falls back to the scalar path.
+        # Every corpus design lowers to SoA or, failing that, multi-limb;
+        # none falls back to the scalar path.
         from repro.sim.vector import plan_model
 
         for design in corpus.all_designs():
