@@ -83,6 +83,8 @@ _VERDICTS_NAME = "verdicts.jsonl"
 _REACHABILITY_NAME = "reachability.jsonl"
 _COMPLETED_NAME = "completed.jsonl"
 _MUTATIONS_NAME = "mutations.jsonl"
+#: Fields every outcome-shard record carries.
+_SHARD_FIELDS = frozenset({"design", "attempt", "idx", "outcome"})
 _OUTCOMES_DIR = "outcomes"
 
 
@@ -220,8 +222,12 @@ class PersistentVerdictCache(VerdictCache):
         if not self._path.exists():
             return
         for record in _read_jsonl(self._path):
-            key = (record["design"], record["text"])
-            self._verdicts[key] = proof_from_json(record["proof"])
+            try:
+                self._verdicts[(record["design"], record["text"])] = proof_from_json(
+                    record["proof"]
+                )
+            except (AttributeError, KeyError, TypeError, ValueError):
+                continue  # torn or legacy record; re-verifying is always safe
         self._loaded_entries = len(self._verdicts)
 
     def put(self, design_name: str, text: str, result: ProofResult) -> None:
@@ -397,18 +403,10 @@ class _JsonlTail:
         if end < 0:
             return []
         self._offset += end + 1
-        records: List[Dict] = []
-        for raw in data[:end].splitlines():
-            raw = raw.strip()
-            if not raw:
-                continue
-            try:
-                records.append(json.loads(raw.decode("utf-8")))
-            except (json.JSONDecodeError, UnicodeDecodeError):
-                # A line torn by a crash that later appends restored; the
-                # record it belonged to was never committed.
-                continue
-        return records
+        # A line torn by a crash that later appends restored belongs to a
+        # record that was never committed.
+        parsed = (_parse_record(raw) for raw in data[:end].splitlines())
+        return [record for record in parsed if record is not None]
 
 
 class RunStore:
@@ -608,10 +606,13 @@ class RunStore:
             self._completed_markers = {}
             new = self._completed_tail.read_new() or []
         for record in new:
-            cell: CellKey = (record["model"], record["k"], record["design"])
-            self._completed_markers[cell] = CellMarker(
-                cell, record["attempt"], record["count"]
-            )
+            try:
+                cell: CellKey = (record["model"], record["k"], record["design"])
+                self._completed_markers[cell] = CellMarker(
+                    cell, record["attempt"], record["count"]
+                )
+            except (KeyError, TypeError):
+                continue  # a garbled marker commits nothing; the cell reruns
         return dict(self._completed_markers)
 
     def load_cell(
@@ -636,8 +637,14 @@ class RunStore:
             self._shard_groups[path] = {}
             new = tail.read_new() or []
         groups = self._shard_groups[path]
+        # A garbled record is skipped; a cell committed over it fails the
+        # record-count check in load_marked.
         for record in new:
-            groups.setdefault((record["design"], record["attempt"]), []).append(record)
+            try:
+                if _SHARD_FIELDS <= record.keys():
+                    groups.setdefault((record["design"], record["attempt"]), []).append(record)
+            except TypeError:
+                continue
         return groups
 
     def load_marked(self, marker: CellMarker) -> List[AssertionOutcome]:
@@ -778,18 +785,29 @@ def _missing_trailing_newline(path: Path) -> bool:
         return handle.read(1) != b"\n"
 
 
+def _parse_record(line) -> Optional[Dict]:
+    """One JSONL line as a record, or ``None`` if it is blank, torn or not an object."""
+    line = line.strip()
+    if not line:
+        return None
+    try:
+        record = json.loads(line)
+    except (json.JSONDecodeError, UnicodeDecodeError):
+        return None
+    return record if isinstance(record, dict) else None
+
+
 def _read_jsonl(path: Path) -> Iterable[Dict]:
-    """Yield parsed records, tolerating a torn final line from a crash."""
+    """Yield the object records of a log, skipping torn or garbled lines.
+
+    A torn final line comes from a crash mid-append; everything before the
+    commit marker is still consistent, so it is skipped like any line that
+    does not parse to a JSON object.
+    """
     if not path.exists():
         return
     with path.open("r", encoding="utf-8") as handle:
         for line in handle:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                yield json.loads(line)
-            except json.JSONDecodeError:
-                # A partially-flushed trailing line; everything before the
-                # commit marker is still consistent, so skip it.
-                continue
+            record = _parse_record(line)
+            if record is not None:
+                yield record

@@ -10,7 +10,7 @@ proposition being explained (e.g. ``gnt1 == 1``).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from ..analysis import coi_features
 from ..hdl import ast
@@ -53,27 +53,34 @@ class Atom:
 
 @dataclass
 class MiningDataset:
-    """Feature matrix for one target proposition."""
+    """Feature matrix for one target proposition, stored as bit columns.
+
+    Row ``r`` is trace cycle ``r``: bit ``r`` of ``feature_masks[i]`` is the
+    value of feature ``i`` there, and bit ``r`` of ``label_mask`` the target's
+    value ``delay`` cycles later.
+    """
 
     design_name: str
     target: Atom
     features: List[Atom]
-    rows: List[Tuple[Tuple[bool, ...], bool]] = field(default_factory=list)
+    num_rows: int = 0
+    feature_masks: List[int] = field(default_factory=list)
+    label_mask: int = 0
     delay: int = 0
 
     @property
-    def num_rows(self) -> int:
-        return len(self.rows)
-
-    @property
     def positives(self) -> int:
-        return sum(1 for _, label in self.rows if label)
+        return self.label_mask.bit_count()
 
     def feature_column(self, index: int) -> List[bool]:
-        return [row[index] for row, _ in self.rows]
+        return _column(self.feature_masks[index], self.num_rows)
 
     def labels(self) -> List[bool]:
-        return [label for _, label in self.rows]
+        return _column(self.label_mask, self.num_rows)
+
+
+def _column(mask: int, length: int) -> List[bool]:
+    return [bool(mask >> row & 1) for row in range(length)]
 
 
 def candidate_atoms(design: Design, signal: str) -> List[Atom]:
@@ -126,16 +133,31 @@ def build_dataset(
             continue
         features.extend(trace_atoms(design, name, trace))
 
-    dataset = MiningDataset(
-        design_name=design.name, target=target, features=features, delay=delay
+    num_rows = max(trace.num_cycles - delay, 0)
+    return MiningDataset(
+        design_name=design.name,
+        target=target,
+        features=features,
+        num_rows=num_rows,
+        feature_masks=[_atom_mask(atom, trace, 0, num_rows) for atom in features],
+        label_mask=_atom_mask(target, trace, delay, num_rows),
+        delay=delay,
     )
-    last_row = trace.num_cycles - delay
-    for cycle in range(last_row):
-        row = trace.row(cycle)
-        label_row = trace.row(cycle + delay)
-        values = tuple(atom.evaluate(row) for atom in features)
-        dataset.rows.append((values, target.evaluate(label_row)))
-    return dataset
+
+
+def _atom_mask(atom: Atom, trace: Trace, start: int, count: int) -> int:
+    """Bit ``r`` set when ``atom`` holds at cycle ``start + r`` of ``trace``.
+
+    Same semantics as :meth:`Atom.evaluate` on ``trace.row``: a signal the
+    trace does not record reads as 0.
+    """
+    if atom.signal not in trace.signals:
+        return (1 << count) - 1 if atom.evaluate({}) else 0
+    values = trace.data[atom.signal][start:start + count]
+    if atom.bit is not None:
+        values = [(raw >> atom.bit) & 1 for raw in values]
+    text = "".join(["1" if raw == atom.value else "0" for raw in reversed(values)])
+    return int(text or "0", 2)
 
 
 def mining_targets(design: Design) -> List[str]:

@@ -84,7 +84,7 @@ class GoldMineMiner:
             # nothing beyond the trivial invariant, which HARM-style templates
             # already cover.
             return []
-        rows = list(range(dataset.num_rows))
+        rows = (1 << dataset.num_rows) - 1
         tree = self._grow(dataset, rows, depth=0, used=frozenset())
         paths = self._paths_to_true_leaves(tree, [])
         paths.sort(key=lambda item: (-item[1], len(item[0])))
@@ -96,13 +96,13 @@ class GoldMineMiner:
     def _grow(
         self,
         dataset: MiningDataset,
-        rows: Sequence[int],
+        rows: int,
         depth: int,
         used: frozenset,
     ) -> _TreeNode:
-        labels = [dataset.rows[i][1] for i in rows]
-        positives = sum(labels)
-        support = len(rows)
+        """Grow the subtree over ``rows``, a mask of dataset rows."""
+        positives = (rows & dataset.label_mask).bit_count()
+        support = rows.bit_count()
         purity = max(positives, support - positives) / support if support else 0.0
         majority = positives * 2 >= support
 
@@ -113,13 +113,13 @@ class GoldMineMiner:
         ):
             return _TreeNode(label=majority, support=support, purity=purity)
 
-        best_index = self._best_split(dataset, rows, used)
+        best_index = self._best_split(dataset, rows, positives, support, used)
         if best_index is None:
             return _TreeNode(label=majority, support=support, purity=purity)
 
         atom = dataset.features[best_index]
-        true_rows = [i for i in rows if dataset.rows[i][0][best_index]]
-        false_rows = [i for i in rows if not dataset.rows[i][0][best_index]]
+        true_rows = rows & dataset.feature_masks[best_index]
+        false_rows = rows & ~dataset.feature_masks[best_index]
         if not true_rows or not false_rows:
             return _TreeNode(label=majority, support=support, purity=purity)
         node = _TreeNode(atom=atom, support=support, purity=purity)
@@ -128,24 +128,29 @@ class GoldMineMiner:
         return node
 
     def _best_split(
-        self, dataset: MiningDataset, rows: Sequence[int], used: frozenset
+        self,
+        dataset: MiningDataset,
+        rows: int,
+        positives: int,
+        total: int,
+        used: frozenset,
     ) -> Optional[int]:
-        base_entropy = _entropy([dataset.rows[i][1] for i in rows])
+        labels = dataset.label_mask
+        base_entropy = _entropy(positives, total)
         best_gain = 1e-9
         best_index: Optional[int] = None
-        for index in range(len(dataset.features)):
+        for index, feature in enumerate(dataset.feature_masks):
             if index in used:
                 continue
-            true_labels = [dataset.rows[i][1] for i in rows if dataset.rows[i][0][index]]
-            false_labels = [
-                dataset.rows[i][1] for i in rows if not dataset.rows[i][0][index]
-            ]
-            if not true_labels or not false_labels:
+            true_rows = rows & feature
+            true_total = true_rows.bit_count()
+            false_total = total - true_total
+            if not true_total or not false_total:
                 continue
-            total = len(true_labels) + len(false_labels)
+            true_positives = (true_rows & labels).bit_count()
             gain = base_entropy - (
-                len(true_labels) / total * _entropy(true_labels)
-                + len(false_labels) / total * _entropy(false_labels)
+                true_total / total * _entropy(true_positives, true_total)
+                + false_total / total * _entropy(positives - true_positives, false_total)
             )
             if gain > best_gain:
                 best_gain = gain
@@ -189,11 +194,10 @@ class GoldMineMiner:
         )
 
 
-def _entropy(labels: Sequence[bool]) -> float:
-    total = len(labels)
+def _entropy(positives: int, total: int) -> float:
+    """Binary entropy of a row set holding ``positives`` of ``total`` labels."""
     if total == 0:
         return 0.0
-    positives = sum(labels)
     entropy = 0.0
     for count in (positives, total - positives):
         if count == 0:

@@ -240,3 +240,55 @@ class TestRunStore:
         summary = store.describe()
         assert summary["status"] == "running"
         assert summary["completed_cells"] == 1
+
+
+class TestMalformedRecords:
+    """A JSON-valid but malformed line in any log is skipped, never fatal."""
+
+    _GARBAGE = ["[1, 2]", '"text"', "7", "null", '{"design": "x"}']
+
+    def _append_garbage(self, path):
+        with path.open("a", encoding="utf-8") as handle:
+            handle.write("".join(line + "\n" for line in self._GARBAGE))
+
+    def test_verdict_log(self, tmp_path):
+        path = tmp_path / "verdicts.jsonl"
+        PersistentVerdictCache(path).put("d", "x", _proven())
+        self._append_garbage(path)
+        with path.open("a", encoding="utf-8") as handle:
+            handle.write('{"design": "d", "text": "y", "proof": [1]}\n')
+            handle.write('{"design": "d", "text": "z", "proof": {"status": "bogus"}}\n')
+        reopened = PersistentVerdictCache(path)
+        assert reopened.loaded_entries == 1
+        assert reopened.get("d", "x").status is ProofStatus.PROVEN
+
+    def test_mutation_log(self, tmp_path):
+        store = RunStore(tmp_path)
+        store.append_mutation_marker("counter", "fp", ["(count <= 15)"], {"viable": 1})
+        self._append_garbage(store.mutations_path)
+        records, markers = RunStore(tmp_path).load_mutation_log()
+        assert records == []
+        assert list(markers) == ["counter"]
+
+    def test_reachability_log(self, tmp_path):
+        from repro.core.store import PersistentReachabilityCache
+
+        path = tmp_path / "reachability.jsonl"
+        self._append_garbage(path)
+        assert PersistentReachabilityCache(path).loaded_entries == 0
+
+    def test_commit_and_shard_logs(self, tmp_path):
+        store = RunStore(tmp_path)
+        store.record_cell("M", 1, "counter", _outcomes("counter", 2))
+        store.close()
+        self._append_garbage(store.completed_path)
+        self._append_garbage(store.shard_path("M", 1))
+        with store.completed_path.open("a", encoding="utf-8") as handle:
+            handle.write('{"model": ["M"], "k": 1, "design": "x", "attempt": "a", "count": 0}\n')
+        with store.shard_path("M", 1).open("a", encoding="utf-8") as handle:
+            handle.write('{"design": ["x"], "attempt": "a", "idx": 0, "outcome": {}}\n')
+        resumed = RunStore(tmp_path)
+        assert set(resumed.completed_cells()) == {("M", 1, "counter")}
+        assert [o.raw_text for o in resumed.load_cell("M", 1, "counter")] == ["raw 0", "raw 1"]
+        resumed.record_cell("M", 1, "arb2", _outcomes("arb2", 1))
+        assert len(resumed.load_matrix().get("M", 1).designs) == 2

@@ -1,5 +1,8 @@
 """Unit and integration tests for the assertion miners and ranking."""
 
+import json
+from pathlib import Path
+
 import pytest
 
 from repro.fpv import FormalEngine, ProofStatus
@@ -57,6 +60,33 @@ class TestDataset:
         dataset = build_dataset(arb2_design, arb2_trace, Atom("gnt_", 1), delay=1)
         assert dataset.num_rows == arb2_trace.num_cycles - 1
 
+    @pytest.mark.parametrize("delay", [0, 1])
+    @pytest.mark.parametrize("target", [Atom("gnt1", 1), Atom("gnt_", 0)])
+    def test_columns_equal_rowwise_atom_evaluation(self, arb2_design, arb2_trace, target, delay):
+        dataset = build_dataset(arb2_design, arb2_trace, target, delay=delay)
+        cycles = range(arb2_trace.num_cycles - delay)
+        rows = [arb2_trace.row(cycle) for cycle in cycles]
+        for index, atom in enumerate(dataset.features):
+            assert dataset.feature_column(index) == [atom.evaluate(row) for row in rows]
+        assert dataset.labels() == [
+            target.evaluate(arb2_trace.row(cycle + delay)) for cycle in cycles
+        ]
+
+    def test_columns_of_wide_and_unrecorded_signals(self, corpus):
+        design = corpus.design("lfsr8")
+        trace = Simulator(design).run(cycles=60, seed=3)
+        del trace.data["en"]
+        trace.signals.remove("en")
+        # An unrecorded signal reads as 0, as it does in ``Atom.evaluate``.
+        dataset = build_dataset(design, trace, Atom("en", 0), feature_signals=["state"], delay=1)
+        assert any(atom.bit is not None for atom in dataset.features)
+        assert dataset.positives == dataset.num_rows
+        cycles = range(trace.num_cycles - 1)
+        rows = [trace.row(cycle) for cycle in cycles]
+        for index, atom in enumerate(dataset.features):
+            assert dataset.feature_column(index) == [atom.evaluate(row) for row in rows]
+        assert dataset.labels() == [dataset.target.evaluate(trace.row(c + 1)) for c in cycles]
+
     def test_mining_targets_order(self, arb2_design):
         targets = mining_targets(arb2_design)
         assert targets[0] in ("gnt1", "gnt2")
@@ -76,6 +106,16 @@ class TestGoldMine:
         checker = TraceChecker(arb2_design.model)
         for candidate in GoldMineMiner(arb2_design).mine(arb2_trace)[:10]:
             assert checker.check(candidate, arb2_trace).holds
+
+    @pytest.mark.parametrize("name", ["arb2", "traffic_light", "uart_tx"])
+    def test_candidates_match_recorded_reference(self, name, arb2_design, corpus):
+        # Candidate texts, in order, recorded from the row-wise implementation
+        # on a 300-cycle seed-7 trace.
+        reference = json.loads((Path(__file__).parent / "goldmine_reference.json").read_text())
+        design = arb2_design if name == "arb2" else corpus.design(name)
+        trace = Simulator(design).run(cycles=300, seed=7)
+        candidates = GoldMineMiner(design).mine(trace)
+        assert [candidate.body_text() for candidate in candidates] == reference[name]
 
     def test_max_depth_limits_antecedent_size(self, arb2_design, arb2_trace):
         config = GoldMineConfig(max_depth=1)
