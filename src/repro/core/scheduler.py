@@ -510,8 +510,9 @@ class VerificationService:
         """Scalar step-cache hits/misses aggregated across dispatched batches.
 
         Covers the memoised :meth:`~repro.fpv.transition.TransitionSystem.step`
-        path (scalar sweeps, tiny-frontier BFS slices) regardless of which
-        worker process ran the batch.
+        path regardless of which worker process ran the batch: scalar
+        sweeps, and the tiny-frontier BFS slices the vectorized walk rents
+        before it buys its whole-space next-state table.
         """
         with self._stats_lock:
             return dict(self._step_stats)

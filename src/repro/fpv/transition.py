@@ -18,6 +18,13 @@ Two evaluation strategies coexist:
   when the system was built with the ``vectorized`` backend, reproducing the
   scalar exploration order exactly (same state order, same transition
   counts, same truncation points).
+
+Tiny frontiers (chain-like state spaces such as counters and LFSRs) are the
+vectorized BFS's one scalar corner.  It rents the memoised scalar step for
+them and counts the steps; once they would have paid for a next-state table
+of the whole state × input space, it buys that table in a few chunked kernel
+calls and looks every later transition up.  The rule depends on counts
+only, never on timings, so the walk stays deterministic.
 """
 
 from __future__ import annotations
@@ -383,8 +390,36 @@ def enumerate_reachable(
 _BFS_CHUNK_LANES = 1 << 18
 #: Below this many lanes a kernel call's per-op dispatch overhead exceeds the
 #: scalar step cost; chain-like state spaces (LFSRs, counters) whose frontier
-#: is one or two states run those slices through the memoised scalar step.
+#: is one or two states "rent" those slices from the memoised scalar step
+#: until the whole-space table below pays for itself.
 _BFS_MIN_VECTOR_LANES = 64
+#: Rent-or-buy ratio R: one scalar step costs about as much as this many
+#: kernel lanes (measured 35-160 on ``counter16``/``lfsr16``, Python 3.11 and
+#: NumPy 2.4 on a 2-core Xeon).  The BFS buys the whole-space next-state
+#: table once ``scalar_steps × R`` reaches the table's lane count; when R
+#: matches the true cost ratio, renting then buying costs at most about
+#: twice the cheaper of the two strategies.
+_SCALAR_STEP_LANES = 64
+#: Largest whole-space table (states × inputs lanes) the BFS will buy: 8 MB
+#: of int64 next states, built in ``_BFS_CHUNK_LANES`` kernel calls.
+_TABLE_MAX_LANES = 1 << 20
+
+
+def _whole_space_table(kernel, packed_grid, state_bits: int):
+    """``next[packed_state × num_inputs + i]`` for every (state, input) pair."""
+    import numpy as np
+
+    num_inputs = len(packed_grid)
+    num_states = 1 << state_bits
+    table = np.empty(num_states * num_inputs, dtype=np.int64)
+    chunk_states = max(1, _BFS_CHUNK_LANES // max(num_inputs, 1))
+    for start in range(0, num_states, chunk_states):
+        states = np.arange(start, min(start + chunk_states, num_states), dtype=np.int64)
+        _, next_packed = kernel.step_packed(
+            np.repeat(states, num_inputs), np.tile(packed_grid, len(states))
+        )
+        table[start * num_inputs : start * num_inputs + len(next_packed)] = next_packed
+    return table
 
 
 def _enumerate_reachable_vectorized(
@@ -393,7 +428,16 @@ def _enumerate_reachable_vectorized(
     max_states: int,
     max_transitions: int,
 ) -> ReachabilityResult:
-    """Array-oriented BFS, order-identical to the scalar walk."""
+    """Array-oriented BFS, order-identical to the scalar walk.
+
+    Wide frontier chunks advance in one ``step_packed`` call each.  Tiny
+    chunks rent the scalar step and count it; once the rented steps would
+    have paid for the whole state × input space (see
+    :data:`_SCALAR_STEP_LANES`), the walk buys a next-state table for that
+    space and every later transition is a lookup.  The rule depends on
+    counts only, so the walk is deterministic; a table build that raises
+    leaves the walk renting, with the same result.
+    """
     import numpy as np
 
     pack_state = kernel.pack_state
@@ -414,6 +458,12 @@ def _enumerate_reachable_vectorized(
     frontier: List[int] = [initial]
     transitions = 0
     chunk_states = max(1, _BFS_CHUNK_LANES // max(num_inputs, 1))
+
+    # Rent-or-buy state.  ``table`` is local, so it is freed with the walk.
+    space_lanes = (1 << state_bits) * num_inputs
+    buyable = space_lanes <= _TABLE_MAX_LANES
+    scalar_steps = 0
+    table = None
 
     def result(packed_order: List[int], complete: bool, exhausted: bool, count: int):
         return ReachabilityResult(
@@ -442,15 +492,33 @@ def _enumerate_reachable_vectorized(
 
             if lanes < _BFS_MIN_VECTOR_LANES:
                 # Tiny frontier: per-op kernel dispatch would cost more than
-                # the memoised scalar step.  Same walk, same order.
+                # the memoised scalar step (or, once bought, a table row).
+                # Same walk, same order.
                 for packed_state in chunk:
-                    state = unpack_state(packed_state)
-                    for inputs in input_dicts:
+                    if buyable and scalar_steps * _SCALAR_STEP_LANES >= space_lanes:
+                        buyable = False
+                        try:
+                            table = _whole_space_table(kernel, packed_grid, state_bits)
+                        except Exception:
+                            pass  # a kernel fault: keep renting, same result
+                    if table is not None:
+                        row = table[
+                            packed_state * num_inputs : (packed_state + 1) * num_inputs
+                        ].tolist()
+                    else:
+                        row = None
+                        state = unpack_state(packed_state)
+                        scalar_steps += num_inputs
+                    for i in range(num_inputs):
                         transitions += 1
                         if transitions > max_transitions:
                             return result(order, False, False, transitions)
-                        next_state = system.step(state, inputs).next_state
-                        packed_next = pack_state(next_state)
+                        if row is not None:
+                            packed_next = row[i]
+                        else:
+                            packed_next = pack_state(
+                                system.step(state, input_dicts[i]).next_state
+                            )
                         if not seen(packed_next):
                             mark(packed_next)
                             order.append(packed_next)
@@ -459,9 +527,14 @@ def _enumerate_reachable_vectorized(
                                 return result(order, False, False, transitions)
                 continue
 
-            states_rep = np.repeat(np.asarray(chunk, dtype=np.int64), num_inputs)
-            inputs_tiled = np.tile(packed_grid, len(chunk))
-            _, next_packed = kernel.step_packed(states_rep, inputs_tiled)
+            chunk_arr = np.asarray(chunk, dtype=np.int64)
+            if table is not None:
+                rows = chunk_arr[:, None] * num_inputs + np.arange(num_inputs)
+                next_packed = table[rows.ravel()]
+            else:
+                _, next_packed = kernel.step_packed(
+                    np.repeat(chunk_arr, num_inputs), np.tile(packed_grid, len(chunk))
+                )
 
             allowed = max_transitions - transitions
             truncated = allowed < lanes
